@@ -12,10 +12,9 @@
 //!   `T_in` / `T_out`.
 //! * [`LinSolver`] — incremental Gaussian elimination: rank, consistency, a
 //!   particular solution and a nullspace basis, plus solution enumeration
-//!   (used to analyze seed-candidate sets).
-//! * [`m4ri`] — blocked batch elimination (Method of the Four Russians);
-//!   the word-parallel fast path behind [`solve_system`],
-//!   [`BitMatrix::rank`] and [`BitMatrix::nullspace`].
+//!   (used to analyze seed-candidate sets). It is the crate's one
+//!   elimination path for linear systems; the seed systems the attack
+//!   solves are about `2n × 64`.
 //! * [`SplitMix64`] / [`Xoshiro256`] — dependency-free deterministic PRNGs
 //!   so synthetic benchmark generation is reproducible bit-for-bit.
 //!
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod bitvec;
-pub mod m4ri;
 mod matrix;
 mod rng;
 mod solve;
@@ -42,4 +40,4 @@ mod solve;
 pub use bitvec::BitVec;
 pub use matrix::BitMatrix;
 pub use rng::{Rng64, SplitMix64, Xoshiro256};
-pub use solve::{solve_system, LinSolution, LinSolver, SolveError};
+pub use solve::{LinSolution, LinSolver, SolveError};

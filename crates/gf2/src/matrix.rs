@@ -23,7 +23,6 @@ use crate::BitVec;
 /// assert_eq!(a.pow(2), BitMatrix::identity(2));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitMatrix {
     rows: Vec<BitVec>,
     cols: usize,
@@ -196,29 +195,24 @@ impl BitMatrix {
         out
     }
 
-    /// Rank via blocked M4RI elimination on a working copy (see
-    /// [`crate::m4ri`]).
+    /// Rank via Gaussian elimination on a working copy.
     pub fn rank(&self) -> usize {
         let mut work = self.rows.clone();
-        crate::m4ri::rref(&mut work).len()
-    }
-
-    /// Rank via plain Gaussian elimination on a working copy.
-    ///
-    /// The scalar reference for [`BitMatrix::rank`]; differential tests and
-    /// the `wordpar` bench compare the two.
-    pub fn rank_gaussian(&self) -> usize {
-        let mut work = self.rows.clone();
-        crate::m4ri::rref_gaussian(&mut work).len()
-    }
-
-    /// A basis of the right nullspace `{x : A·x = 0}`, computed with M4RI
-    /// elimination. The basis has `num_cols() - rank()` vectors.
-    pub fn nullspace(&self) -> Vec<BitVec> {
-        let mut work = self.rows.clone();
-        let pivots = crate::m4ri::rref(&mut work);
-        let nrows = pivots.len();
-        crate::m4ri::nullspace_from_rref(&work[..nrows], &pivots, self.cols)
+        let mut rank = 0;
+        for col in 0..self.cols {
+            let Some(p) = (rank..work.len()).find(|&r| work[r].get(col)) else {
+                continue;
+            };
+            work.swap(rank, p);
+            let pivot = work[rank].clone();
+            for row in &mut work[rank + 1..] {
+                if row.get(col) {
+                    row.xor_assign(&pivot);
+                }
+            }
+            rank += 1;
+        }
+        rank
     }
 
     /// Inverse of a square matrix, or `None` if singular.

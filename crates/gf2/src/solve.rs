@@ -249,63 +249,17 @@ impl LinSolver {
     }
 }
 
-/// One-shot solve of `A·x = b` via blocked M4RI elimination of the
-/// augmented matrix `[A | b]` (see [`crate::m4ri`]).
-///
-/// The incremental [`LinSolver`] path is the scalar reference for this
-/// batch routine; differential tests assert they agree.
-///
-/// # Errors
-///
-/// Returns [`SolveError`] if the system is inconsistent.
-///
-/// # Panics
-///
-/// Panics if `b.len() != a.num_rows()`.
-pub fn solve_system(a: &BitMatrix, b: &BitVec) -> Result<LinSolution, SolveError> {
-    assert_eq!(a.num_rows(), b.len(), "system height mismatch");
-    let cols = a.num_cols();
-    // Augment each row with its right-hand side as one extra column so the
-    // elimination carries the rhs along for free.
-    let mut rows: Vec<BitVec> = a
-        .iter_rows()
-        .enumerate()
-        .map(|(i, row)| {
-            let mut aug = row.resized(cols + 1);
-            if b.get(i) {
-                aug.set(cols, true);
-            }
-            aug
-        })
-        .collect();
-    let pivots = crate::m4ri::rref(&mut rows);
-    // A pivot in the rhs column is a row reading `0 = 1`.
-    if pivots.last() == Some(&cols) {
-        return Err(SolveError);
-    }
-    let mut particular = BitVec::zeros(cols);
-    for (row, &pcol) in rows.iter().zip(&pivots) {
-        if row.get(cols) {
-            particular.set(pcol, true);
-        }
-    }
-    // The nullspace ignores the augmented column: truncate rows back to the
-    // coefficient width (the rhs column is never a pivot here).
-    let coeff_rows: Vec<BitVec> = rows[..pivots.len()]
-        .iter()
-        .map(|r| r.resized(cols))
-        .collect();
-    let nullspace = crate::m4ri::nullspace_from_rref(&coeff_rows, &pivots, cols);
-    Ok(LinSolution {
-        particular,
-        nullspace,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Rng64, Xoshiro256};
+
+    /// Solves `A·x = b` in one go through the incremental solver.
+    fn solve_system(a: &BitMatrix, b: &BitVec) -> Result<LinSolution, SolveError> {
+        let mut s = LinSolver::new(a.num_cols());
+        s.add_system(a, b)?;
+        s.solve()
+    }
 
     #[test]
     fn unique_solution() {
@@ -391,15 +345,29 @@ mod tests {
     #[test]
     fn rank_nullity_theorem() {
         let mut rng = Xoshiro256::new(9);
-        for _ in 0..10 {
+        for trial in 0..20 {
             let rows = 3 + rng.gen_index(6);
             let cols = 4 + rng.gen_index(8);
-            let a = BitMatrix::random(rows, cols, &mut rng);
+            let mut a = BitMatrix::random(rows, cols, &mut rng);
+            if trial % 2 == 1 {
+                // Append random XOR-combinations of existing rows: the
+                // rank stays at most `rows`.
+                for _ in 0..rows {
+                    let mut combo = BitVec::zeros(cols);
+                    for r in 0..rows {
+                        if rng.gen_bool() {
+                            combo.xor_assign(a.row(r));
+                        }
+                    }
+                    a.push_row(combo);
+                }
+            }
             let mut s = LinSolver::new(cols);
-            let zero = BitVec::zeros(rows);
+            let zero = BitVec::zeros(a.num_rows());
             s.add_system(&a, &zero).unwrap();
-            assert_eq!(s.rank() + s.nullity(), cols);
-            assert_eq!(s.rank(), a.rank());
+            assert_eq!(s.rank() + s.nullity(), cols, "trial {trial}");
+            assert_eq!(s.rank(), a.rank(), "trial {trial}");
+            assert!(a.rank() <= rows, "trial {trial}");
         }
     }
 
@@ -423,13 +391,14 @@ mod tests {
         assert!(solve_system(&a, &b).is_err());
     }
 
-    /// The batch M4RI path must agree with the incremental LinSolver
-    /// reference on random systems: same consistency verdict, same
-    /// solution set.
+    /// `A·x = b` is consistent exactly when appending `b` as a column
+    /// leaves the rank unchanged; a consistent system's solution set is
+    /// `particular ⊕ span(nullspace)` with `nullity = cols - rank(A)`.
     #[test]
-    fn batch_solve_matches_incremental_reference() {
+    fn consistency_matches_rank_criterion() {
         let mut rng = Xoshiro256::new(2024);
-        for trial in 0..20 {
+        let mut saw_inconsistent = false;
+        for trial in 0..30 {
             let rows = 2 + rng.gen_index(30);
             let cols = 2 + rng.gen_index(30);
             let a = BitMatrix::random(rows, cols, &mut rng);
@@ -440,23 +409,36 @@ mod tests {
             } else {
                 BitVec::random(rows, &mut rng)
             };
-            let mut reference = LinSolver::new(cols);
-            let ref_result = reference.add_system(&a, &b);
-            let batch = solve_system(&a, &b);
-            match (ref_result, batch) {
-                (Ok(()), Ok(sol)) => {
-                    let ref_sol = reference.solve().unwrap();
+            let augmented = BitMatrix::from_rows(
+                a.iter_rows()
+                    .enumerate()
+                    .map(|(i, row)| {
+                        let mut aug = row.resized(cols + 1);
+                        aug.set(cols, b.get(i));
+                        aug
+                    })
+                    .collect(),
+            );
+            let consistent = augmented.rank() == a.rank();
+            match solve_system(&a, &b) {
+                Ok(sol) => {
+                    assert!(consistent, "trial {trial}: solved an inconsistent system");
                     assert_eq!(a.mul_vec(&sol.particular), b, "trial {trial}");
-                    assert_eq!(sol.nullity(), ref_sol.nullity(), "trial {trial}");
+                    assert_eq!(sol.nullity(), cols - a.rank(), "trial {trial}");
                     for n in &sol.nullspace {
                         assert!(a.mul_vec(n).is_zero(), "trial {trial}");
                     }
-                    assert!(ref_sol.contains(&sol.particular), "trial {trial}");
                 }
-                (Err(_), Err(_)) => {}
-                (r, b) => panic!("trial {trial}: reference {r:?} vs batch {b:?}"),
+                Err(SolveError) => {
+                    assert!(!consistent, "trial {trial}: rejected a consistent system");
+                    saw_inconsistent = true;
+                }
             }
         }
+        assert!(
+            saw_inconsistent,
+            "random rhs never produced an inconsistent system"
+        );
     }
 
     #[test]

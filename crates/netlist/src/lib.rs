@@ -11,8 +11,7 @@
 //! * [`topo`] — topological ordering and levelization of the combinational
 //!   core (the basis of simulation and CNF encoding);
 //! * [`schedule`] — the precomputed levelized gate schedule with a
-//!   flattened fanin index, computed once per circuit and reused by every
-//!   evaluation pass (scalar and 64-lane word-parallel alike);
+//!   flattened fanin index, computed once per circuit;
 //! * [`generator`] — a seeded synthetic sequential-circuit generator;
 //! * [`profiles`] — generator profiles pinned to the post-synthesis
 //!   scan-flop counts the paper reports for its ten benchmarks

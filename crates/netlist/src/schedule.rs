@@ -1,24 +1,20 @@
 //! Precomputed levelized evaluation schedule with a flattened fanin index.
 //!
-//! Simulators walk the combinational core once per pattern (or once per
-//! 64-pattern word in the packed path), so the order of gate visits and
-//! the location of each gate's fanin net indices are *loop-invariant*
-//! across evaluations. This module computes them once, at circuit
-//! construction:
+//! A simulator walks the combinational core once per pattern, so the
+//! order of gate visits and the location of each gate's fanin net
+//! indices are *loop-invariant* across evaluations. This module computes
+//! them once, at circuit construction:
 //!
 //! * gates are sorted by logic level (a valid topological order in which
-//!   every gate of level `l` depends only on levels `< l`, so a future
-//!   multi-threaded evaluator can sweep each level in parallel);
+//!   every gate of level `l` depends only on levels `< l`);
 //! * every gate's fanin [`NetId`]s are flattened into one contiguous
 //!   `u32` array, replacing the per-gate `Vec<NetId>` pointer chase with a
 //!   single cache-friendly slice walk.
 //!
-//! The schedule is stored inside [`Circuit`] and shared by the scalar and
-//! word-parallel evaluators in the `sim` crate (DESIGN.md §5). It is
-//! strictly read-only after construction — `sim`'s multi-core fan-out
-//! hands one `&EvalSchedule` to every worker thread, so `EvalSchedule`
-//! (and `Circuit` around it) must stay `Send + Sync` with no interior
-//! mutability; a test below pins that contract.
+//! The schedule is stored inside [`Circuit`] and is strictly read-only
+//! after construction. The lane-packed evaluators in `sim` walk it; the
+//! scalar `sim::Evaluator` walks [`Circuit::topo_gates`] instead, so the
+//! two stay independent differential references for each other.
 
 use crate::{Circuit, GateKind};
 
@@ -215,9 +211,9 @@ mod tests {
 
     #[test]
     fn schedule_and_circuit_are_shareable_across_threads() {
-        // The multi-core evaluators hand `&Circuit` / `&EvalSchedule` to
-        // scoped worker threads; adding interior mutability (Cell, Rc,
-        // lazy caches) to either type would break this at a distance.
+        // A built circuit is immutable and may be read from several
+        // threads at once; adding interior mutability (Cell, Rc, lazy
+        // caches) to either type would break that at a distance.
         fn shareable<T: Send + Sync>() {}
         shareable::<EvalSchedule>();
         shareable::<Circuit>();

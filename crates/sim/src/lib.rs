@@ -10,9 +10,6 @@
 //! * [`WidePackedEvaluator`] — the lane-word-parallel counterpart,
 //!   generic over [`LaneWord`]: [`PackedEvaluator`] packs 64 patterns
 //!   per `u64`, [`PackedEvaluator256`] packs 256 per [`W256`] block;
-//! * [`ParPackedEvaluator`] / [`ParPackedScanChip`] — multi-core
-//!   fan-out: lane blocks evaluated across worker threads against the
-//!   shared read-only schedule (`DU_THREADS` / explicit knob);
 //! * [`SeqSim`] / [`PackedSeqSim`] — clock-by-clock functional simulation,
 //!   scalar and 64 lanes at once;
 //! * [`ScanChain`] — the order in which flops are stitched into the chain;
@@ -25,9 +22,9 @@
 //!   honest oracle, and the fallible interface fault-tolerant attack
 //!   code consumes ([`Reliable`] lifts a trustworthy oracle into it).
 //!
-//! The scalar paths are the differential-test references for every
-//! packed width and thread count; see DESIGN.md §5 for the data layout
-//! and the thread/lane execution model.
+//! The attack path uses only the scalar types; the packed ones are a
+//! single-threaded batch simulator, and the scalar paths are their
+//! differential-test references (DESIGN.md §5).
 //!
 //! # Example
 //!
@@ -51,7 +48,6 @@ mod faulty;
 mod lane;
 mod oracle;
 mod packed;
-mod parallel;
 mod scan;
 mod seq;
 
@@ -63,7 +59,6 @@ pub use packed::{
     pack_lanes, pack_lanes_wide, try_pack_lanes, try_pack_lanes_wide, unpack_lane,
     unpack_lane_wide, PackError, PackedEvaluator, PackedEvaluator256, WidePackedEvaluator,
 };
-pub use parallel::{PackedFrame, ParPackedEvaluator, ParPackedScanChip};
 pub use scan::{
     PackedScanChip, PackedScanChip256, PackedScanResponse, ScanChain, ScanChip, WidePackedScanChip,
     WidePackedScanResponse,

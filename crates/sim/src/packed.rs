@@ -13,9 +13,7 @@
 //! Gate visits follow the circuit's precomputed
 //! [`EvalSchedule`](netlist::EvalSchedule): levelized order with a
 //! flattened fanin index, so the inner loop is a linear walk over two
-//! dense arrays with no per-gate allocation or pointer chasing. The
-//! schedule is read-only and shared — `sim::par` fans lane blocks out
-//! across threads against one schedule.
+//! dense arrays with no per-gate allocation or pointer chasing.
 
 use std::fmt;
 

@@ -203,8 +203,7 @@ pub type PackedScanResponse = WidePackedScanResponse<u64>;
 /// unload session answers `W::LANES` independent scan queries at once.
 /// This is the throughput path for attack phases that sweep many patterns
 /// (signature collection, hypothesis filtering); the scalar [`ScanChip`]
-/// remains the differential-test reference, and `sim::par` fans batches
-/// of these blocks across threads.
+/// remains the differential-test reference.
 ///
 /// # Example
 ///

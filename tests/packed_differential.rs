@@ -1,23 +1,18 @@
-//! Differential property tests for the word-parallel hot paths:
-//!
-//! * `PackedEvaluator` / `PackedScanChip` against the scalar `Evaluator` /
-//!   `ScanChip` on random netlist profiles and random scan-chain orders —
-//!   all 64 lanes must match bit-for-bit;
-//! * M4RI blocked elimination against plain Gaussian elimination on
-//!   random, rank-deficient, and inconsistent systems.
+//! Differential property tests for the word-parallel simulator:
+//! `PackedEvaluator` / `WidePackedEvaluator` / `PackedScanChip` against
+//! the scalar `Evaluator` / `ScanChip` on random netlist profiles and
+//! random scan-chain orders — every lane must match bit-for-bit.
 //!
 //! The scalar paths are the semantic references (DESIGN.md §5); any
-//! divergence here is a bug in the packed/blocked fast paths.
+//! divergence here is a bug in the packed paths.
 
-use dynunlock_repro::gf2::{self, m4ri, BitMatrix, BitVec, LinSolver, Rng64, Xoshiro256};
+use dynunlock_repro::gf2::{Rng64, Xoshiro256};
 use dynunlock_repro::netlist::generator::GeneratorConfig;
 use dynunlock_repro::netlist::profiles::PAPER_BENCHMARKS;
-use dynunlock_repro::par;
 use dynunlock_repro::sim::{
     pack_lanes, pack_lanes_wide, try_pack_lanes, try_pack_lanes_wide, unpack_lane,
-    unpack_lane_wide, Evaluator, LaneWord, PackError, PackedEvaluator, PackedScanChip,
-    ParPackedEvaluator, ParPackedScanChip, ScanAccess, ScanChain, ScanChip, WidePackedEvaluator,
-    W256,
+    unpack_lane_wide, Evaluator, LaneWord, PackError, PackedEvaluator, PackedScanChip, ScanAccess,
+    ScanChain, ScanChip, WidePackedEvaluator, W256,
 };
 
 /// Random generator profiles spanning interface shapes: (pis, pos, dffs,
@@ -130,78 +125,6 @@ fn packed_scan_chip_matches_scalar_on_random_chain_orders() {
     }
 }
 
-#[test]
-fn m4ri_rref_matches_gaussian_on_random_systems() {
-    let mut rng = Xoshiro256::new(0x4121);
-    for trial in 0..25 {
-        let n = 2 + rng.gen_index(90);
-        let cols = 2 + rng.gen_index(140);
-        let rows: Vec<BitVec> = (0..n).map(|_| BitVec::random(cols, &mut rng)).collect();
-        let mut blocked = rows.clone();
-        let mut plain = rows;
-        let pb = m4ri::rref(&mut blocked);
-        let pp = m4ri::rref_gaussian(&mut plain);
-        assert_eq!(pb, pp, "pivots: trial {trial} ({n}x{cols})");
-        assert_eq!(blocked, plain, "RREF rows: trial {trial} ({n}x{cols})");
-    }
-}
-
-#[test]
-fn m4ri_rank_matches_gaussian_on_rank_deficient_matrices() {
-    let mut rng = Xoshiro256::new(0xDEF1);
-    for trial in 0..10 {
-        let base = 3 + rng.gen_index(25);
-        let cols = 10 + rng.gen_index(60);
-        let mut a = BitMatrix::random(base, cols, &mut rng);
-        // append random XOR-combinations of existing rows: rank unchanged
-        for _ in 0..base {
-            let mut combo = BitVec::zeros(cols);
-            for r in 0..base {
-                if rng.next_u64() & 1 == 1 {
-                    combo.xor_assign(a.row(r));
-                }
-            }
-            a.push_row(combo);
-        }
-        assert_eq!(a.rank(), a.rank_gaussian(), "trial {trial}");
-        assert!(a.rank() <= base, "trial {trial}");
-        for v in a.nullspace() {
-            assert!(a.mul_vec(&v).is_zero(), "trial {trial}");
-        }
-    }
-}
-
-#[test]
-fn m4ri_solve_agrees_with_incremental_solver_on_inconsistent_systems() {
-    let mut rng = Xoshiro256::new(0x1BAD);
-    let mut saw_inconsistent = false;
-    for trial in 0..30 {
-        // overdetermined systems with random rhs are frequently inconsistent
-        let cols = 2 + rng.gen_index(12);
-        let n = cols + 1 + rng.gen_index(10);
-        let a = BitMatrix::random(n, cols, &mut rng);
-        let b = BitVec::random(n, &mut rng);
-        let mut reference = LinSolver::new(cols);
-        let ref_ok = reference.add_system(&a, &b).is_ok();
-        let batch = gf2::solve_system(&a, &b);
-        assert_eq!(batch.is_ok(), ref_ok, "consistency verdict: trial {trial}");
-        if let Ok(sol) = batch {
-            assert_eq!(a.mul_vec(&sol.particular), b, "trial {trial}");
-            assert_eq!(
-                sol.nullity(),
-                reference.solve().unwrap().nullity(),
-                "trial {trial}"
-            );
-        } else {
-            saw_inconsistent = true;
-        }
-    }
-    assert!(
-        saw_inconsistent,
-        "test must exercise at least one inconsistent system"
-    );
-}
-
 /// Random scalar `(pis, state)` stimuli for a circuit.
 fn random_stimuli(
     num_inputs: usize,
@@ -274,72 +197,6 @@ fn wide_256_evaluator_matches_scalar_on_randomized_profiles() {
 }
 
 #[test]
-fn par_evaluator_matches_scalar_at_every_width_and_thread_count() {
-    let hardware = par::resolve(None);
-    let thread_counts = [1, 2, hardware];
-    let mut rng = Xoshiro256::new(0xFA2_A11);
-    for &(pis, pos, dffs, gates, seed) in &RANDOM_PROFILES[..3] {
-        let cfg =
-            GeneratorConfig::new(format!("par-{seed}"), pis, pos, dffs, gates).with_seed(seed);
-        let c = cfg.generate();
-        // Ragged sizes on purpose: below one block, exactly one block,
-        // and a random multi-block count with a partial tail.
-        for count in [1, 64, 65 + rng.gen_index(300)] {
-            let stimuli = random_stimuli(c.inputs().len(), c.num_dffs(), count, &mut rng);
-            let expect = scalar_answers(&c, &stimuli);
-            for &threads in &thread_counts {
-                let got64 = ParPackedEvaluator::<u64>::new(&c)
-                    .with_threads(threads)
-                    .eval_patterns(&stimuli);
-                assert_eq!(got64, expect, "u64 seed {seed} count {count} t{threads}");
-                let got256 = ParPackedEvaluator::<W256>::new(&c)
-                    .with_threads(threads)
-                    .eval_patterns(&stimuli);
-                assert_eq!(got256, expect, "W256 seed {seed} count {count} t{threads}");
-            }
-        }
-    }
-}
-
-#[test]
-fn par_scan_chip_matches_scalar_chip_at_every_width_and_thread_count() {
-    let hardware = par::resolve(None);
-    let mut rng = Xoshiro256::new(0x05CA_2FA2);
-    let (pis, pos, dffs, gates, seed) = RANDOM_PROFILES[1];
-    let cfg = GeneratorConfig::new(format!("pscan-{seed}"), pis, pos, dffs, gates).with_seed(seed);
-    let c = cfg.generate();
-    let chain = ScanChain::shuffled(c.num_dffs(), &mut rng);
-    let count = 70 + rng.gen_index(160);
-    let sessions: Vec<(Vec<bool>, Vec<bool>)> = (0..count)
-        .map(|_| {
-            (
-                (0..c.num_dffs()).map(|_| rng.next_u64() & 1 == 1).collect(),
-                (0..c.inputs().len())
-                    .map(|_| rng.next_u64() & 1 == 1)
-                    .collect(),
-            )
-        })
-        .collect();
-    for captures in [1, 2] {
-        let mut scalar = ScanChip::new(&c, chain.clone());
-        let expect: Vec<_> = sessions
-            .iter()
-            .map(|(pattern, pi)| scalar.query_captures(pattern, pi, captures))
-            .collect();
-        for threads in [1, 2, hardware] {
-            let got64 = ParPackedScanChip::<u64>::new(&c, chain.clone())
-                .with_threads(threads)
-                .query_patterns(&sessions, captures);
-            assert_eq!(got64, expect, "u64 captures {captures} t{threads}");
-            let got256 = ParPackedScanChip::<W256>::new(&c, chain.clone())
-                .with_threads(threads)
-                .query_patterns(&sessions, captures);
-            assert_eq!(got256, expect, "W256 captures {captures} t{threads}");
-        }
-    }
-}
-
-#[test]
 fn pack_lanes_reports_typed_errors_for_bad_batches() {
     // Too many patterns for the lane width.
     let too_many: Vec<Vec<bool>> = (0..65).map(|i| vec![i % 2 == 0]).collect();
@@ -372,41 +229,4 @@ fn pack_lanes_reports_typed_errors_for_bad_batches() {
     // Errors render as actionable messages.
     let msg = try_pack_lanes(&too_many).unwrap_err().to_string();
     assert!(msg.contains("65"), "message names the count: {msg}");
-}
-
-#[test]
-fn rref_parallel_matches_gaussian_across_thread_counts() {
-    let mut rng = Xoshiro256::new(0x6F2_1517);
-    for trial in 0..12 {
-        let n = 2 + rng.gen_index(120);
-        let cols = 2 + rng.gen_index(160);
-        let rows: Vec<BitVec> = (0..n).map(|_| BitVec::random(cols, &mut rng)).collect();
-        let mut reference = rows.clone();
-        let pivots = m4ri::rref_gaussian(&mut reference);
-        for threads in [1, 2, 3, 8] {
-            let mut work = rows.clone();
-            assert_eq!(
-                m4ri::rref_parallel(&mut work, threads),
-                pivots,
-                "pivots: trial {trial} ({n}x{cols}) t{threads}"
-            );
-            assert_eq!(
-                work, reference,
-                "rows: trial {trial} ({n}x{cols}) t{threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn m4ri_block_sizes_agree_on_one_large_system() {
-    let mut rng = Xoshiro256::new(0xB10C);
-    let rows: Vec<BitVec> = (0..200).map(|_| BitVec::random(200, &mut rng)).collect();
-    let mut reference = rows.clone();
-    let pivots = m4ri::rref_gaussian(&mut reference);
-    for k in [1, 4, 8, 12, 16] {
-        let mut work = rows.clone();
-        assert_eq!(m4ri::rref_with_block(&mut work, k), pivots, "k={k}");
-        assert_eq!(work, reference, "k={k}");
-    }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every randomized GF(2) system here is solved three ways: through the
 //! solver's native xor engine ([`XorMode::Native`]), through the classical
-//! Tseitin clause expansion ([`XorMode::Tseitin`]), and by dense Gaussian
-//! elimination ([`gf2::solve_system`]) as ground truth. All three must
+//! Tseitin clause expansion ([`XorMode::Tseitin`]), and by incremental
+//! Gaussian elimination ([`gf2::LinSolver`]) as ground truth. All three must
 //! agree on SAT/UNSAT, and every SAT model must satisfy every row parity.
 //! Rank-deficient and inconsistent systems are constructed explicitly on
 //! top of the random sweep.
@@ -11,7 +11,7 @@
 use dynunlock_repro::{cnf, gf2, satsolver};
 
 use cnf::{Encoder, XorMode};
-use gf2::{solve_system, BitMatrix, BitVec, Rng64, Xoshiro256};
+use gf2::{BitVec, LinSolver, Rng64, Xoshiro256};
 use satsolver::{Lit, SolveResult};
 
 /// One xor row: coefficient vector over the variables, plus its rhs.
@@ -50,18 +50,12 @@ fn solve_with(mode: XorMode, n: usize, rows: &[Row]) -> (SolveResult, Option<Vec
     (res, model)
 }
 
-/// Ground truth by dense elimination: `Ok` iff the system is consistent.
+/// Ground truth by Gaussian elimination: `true` iff the system is
+/// consistent.
 fn ground_truth(n: usize, rows: &[Row]) -> bool {
-    let a = BitMatrix::from_rows(
-        rows.iter()
-            .map(|(c, _)| {
-                assert_eq!(c.len(), n);
-                c.clone()
-            })
-            .collect(),
-    );
-    let b = BitVec::from_bools(rows.iter().map(|(_, r)| *r));
-    solve_system(&a, &b).is_ok()
+    let mut s = LinSolver::new(n);
+    rows.iter()
+        .all(|(coeffs, rhs)| s.add_equation(coeffs.clone(), *rhs).is_ok())
 }
 
 /// Runs all three solvers on one system and cross-checks everything.
