@@ -221,9 +221,9 @@ pub(crate) fn locked_cone(
 ///    chains, which is what keeps 64+-bit keys tractable.
 /// 2. **Linear phase**: once no distinguishing input exists, read the
 ///    session masks off the final model and hand them, as explicit linear
-///    forms of the seed, to [`SeedRecovery`]. Full rank pins the seed
-///    exactly; otherwise every seed in the affine class is functionally
-///    equivalent and a canonical member is returned.
+///    forms of the seed, to [`lfsr::recover::SeedRecovery`]. Full rank
+///    pins the seed exactly; otherwise every seed in the affine class is
+///    functionally equivalent and a canonical member is returned.
 /// 3. **Verification**: random probe sessions compare a re-locked chip
 ///    under the recovered seed against the oracle bit-for-bit.
 ///

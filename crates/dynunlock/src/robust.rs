@@ -1352,7 +1352,8 @@ impl<'a> AttackState<'a> {
     /// the live oracle contradicts a recorded DIP,
     /// [`CheckpointError::OracleUnavailable`] when re-validation queries
     /// keep faulting, [`CheckpointError::Inconsistent`] when the recorded
-    /// data contradicts the rebuilt model.
+    /// sizes do not fit the instance or the recorded data contradicts the
+    /// rebuilt model.
     pub fn resume<O: FallibleScanAccess>(
         circuit: &'a Circuit,
         chain: &'a ScanChain,
@@ -1367,6 +1368,20 @@ impl<'a> AttackState<'a> {
                 expected: ckpt.instance,
                 got,
             });
+        }
+        // Every recorded size must fit this instance before any record
+        // reaches the oracle, which panics on a mis-sized session.
+        let (cells, pis, pos) = (chain.len(), circuit.inputs().len(), circuit.outputs().len());
+        if ckpt.cells != cells
+            || ckpt.width != spec.width()
+            || ckpt.dips.iter().any(|d| {
+                d.pattern.len() != cells
+                    || d.pis.len() != pis
+                    || d.response.scan_out.len() != cells
+                    || d.response.po.len() != pos
+            })
+        {
+            return Err(CheckpointError::Inconsistent);
         }
         let mut state = AttackState::new(circuit, chain, spec, cfg);
 
@@ -1712,6 +1727,29 @@ mod tests {
         ));
         let res = AttackState::resume(&f.circuit, &f.chain, &f.spec, cfg, &ckpt, &mut wrong);
         assert!(matches!(res, Err(CheckpointError::OracleMismatch { .. })));
+    }
+
+    #[test]
+    fn checkpoint_rejects_misshapen_dip_record() {
+        let f = fixture(12, 6, 0x4D);
+        let cfg = RobustConfig::default();
+        let mut oracle = Reliable(f.oracle());
+        let mut state = AttackState::new(&f.circuit, &f.chain, &f.spec, cfg.clone());
+        while state.dip_count() < 1 {
+            assert!(
+                !matches!(state.step(&mut oracle), Step::Converged),
+                "fixture must need at least one DIP"
+            );
+        }
+        // Drop one bit from the first DIP's scan-in pattern: still a
+        // well-formed document, but the record no longer fits the chain.
+        let text = String::from_utf8(state.checkpoint().to_bytes()).unwrap();
+        let line = text.lines().find(|l| l.starts_with("dip ")).unwrap();
+        let truncated = format!("dip {}", &line["dip ".len() + 1..]);
+        let corrupt = text.replacen(line, &truncated, 1);
+        let ckpt = Checkpoint::from_bytes(corrupt.as_bytes()).expect("parser accepts it");
+        let res = AttackState::resume(&f.circuit, &f.chain, &f.spec, cfg, &ckpt, &mut oracle);
+        assert!(matches!(res, Err(CheckpointError::Inconsistent)));
     }
 
     #[test]

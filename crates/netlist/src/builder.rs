@@ -188,10 +188,8 @@ impl CircuitBuilder {
             dffs: self.dffs,
             drivers,
             topo_order: Vec::new(),
-            schedule: crate::schedule::EvalSchedule::default(),
         };
         circuit.topo_order = crate::topo::topo_order(&circuit)?;
-        circuit.schedule = crate::schedule::EvalSchedule::build(&circuit);
         Ok(circuit)
     }
 }

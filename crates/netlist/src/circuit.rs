@@ -78,8 +78,6 @@ pub struct Circuit {
     pub(crate) drivers: Vec<Driver>,
     /// Gate indices in topological order (computed at validation).
     pub(crate) topo_order: Vec<usize>,
-    /// Levelized flattened evaluation schedule (computed at validation).
-    pub(crate) schedule: crate::schedule::EvalSchedule,
 }
 
 impl Circuit {
@@ -128,13 +126,6 @@ impl Circuit {
     /// (inputs and flop outputs are sources).
     pub fn topo_gates(&self) -> &[usize] {
         &self.topo_order
-    }
-
-    /// The precomputed levelized evaluation schedule: gates sorted by
-    /// logic level with all fanin net indices flattened into one array.
-    /// Computed once at construction.
-    pub fn schedule(&self) -> &crate::schedule::EvalSchedule {
-        &self.schedule
     }
 
     /// The name of a net.
@@ -290,5 +281,19 @@ impl fmt::Display for CircuitStats {
             writeln!(f, "  {kind:<6} {n}")?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn circuit_is_shareable_across_threads() {
+        // A built circuit is immutable and may be read from several
+        // threads at once; adding interior mutability (Cell, Rc, lazy
+        // caches) would break that at a distance.
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Circuit>();
     }
 }

@@ -3,10 +3,11 @@
 //! The repository does not ship the original ISCAS-89 / ITC-99 netlists;
 //! instead it generates random-but-structured sequential circuits whose
 //! interface sizes (PIs, POs, flops, gate count) match the paper's
-//! post-synthesis figures (see [`crate::profiles`]). Everything the attack
-//! measures — chain length, key-gate placement, LFSR linearity, SAT
-//! iteration behaviour — depends only on those parameters, so the
-//! substitution preserves the experiment's shape (DESIGN.md §4).
+//! post-synthesis figures (see [`crate::profiles`]). Chain length,
+//! key-gate placement and LFSR linearity follow from those sizes alone;
+//! SAT cost does not, since it tracks cone support, and half of each
+//! gate's inputs are drawn from the whole net pool here, which makes the
+//! cones near-global (DESIGN.md §4).
 //!
 //! Generation is deterministic: the same [`GeneratorConfig`] (including
 //! `seed`) always yields the same netlist, bit for bit.

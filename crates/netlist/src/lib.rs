@@ -6,16 +6,14 @@
 //! * [`Circuit`] — a validated gate-level IR with primary inputs/outputs,
 //!   combinational gates and D flip-flops;
 //! * [`CircuitBuilder`] — ergonomic construction with name management;
-//! * [`bench`] — a reader/writer for the ISCAS-89 `.bench` format, so real
+//! * [`mod@bench`] — a reader/writer for the ISCAS-89 `.bench` format, so real
 //!   benchmark files can be dropped in unchanged;
 //! * [`topo`] — topological ordering and levelization of the combinational
 //!   core (the basis of simulation and CNF encoding);
-//! * [`schedule`] — the precomputed levelized gate schedule with a
-//!   flattened fanin index, computed once per circuit;
 //! * [`generator`] — a seeded synthetic sequential-circuit generator;
 //! * [`profiles`] — generator profiles pinned to the post-synthesis
 //!   scan-flop counts the paper reports for its ten benchmarks
-//!   (see DESIGN.md §4 for why this substitution preserves behaviour).
+//!   (DESIGN.md §4 says what this substitution pins and what it does not).
 //!
 //! # Example
 //!
@@ -44,11 +42,9 @@ mod error;
 mod gate;
 pub mod generator;
 pub mod profiles;
-pub mod schedule;
 pub mod topo;
 
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, CircuitStats, Dff, Gate, NetId};
 pub use error::NetlistError;
 pub use gate::GateKind;
-pub use schedule::{EvalSchedule, ScheduledOp};

@@ -8,8 +8,9 @@
 //! end instead, the way CryptoMiniSat does:
 //!
 //! * [`XorClause`] is the first-class constraint type; [`Constraint`] is
-//!   the stream unit the encoder hands to [`Solver::add_constraint`].
-//! * [`XorEngine`] stores the xor system as dense GF(2) rows
+//!   the stream unit the encoder hands to
+//!   [`Solver::add_constraint`](crate::Solver::add_constraint).
+//! * `XorEngine` stores the xor system as dense GF(2) rows
 //!   ([`gf2::BitVec`] words — the same word-level row ops the rest of the
 //!   repository uses) and keeps it in **reduced row-echelon form** by
 //!   incremental Gauss–Jordan elimination: every constraint added between

@@ -1,11 +1,7 @@
-//! Scan-chain structure and unobfuscated scan test access — scalar and
-//! lane-word-parallel (64 lanes as `u64`, 256 lanes as `W256`, or any
-//! [`LaneWord`]).
+//! Scan-chain structure and unobfuscated scan test access.
 
 use netlist::Circuit;
 
-use crate::lane::{LaneWord, W256};
-use crate::packed::WidePackedEvaluator;
 use crate::{Evaluator, ScanAccess, ScanResponse};
 
 /// The order in which flops are stitched into a single scan chain.
@@ -71,41 +67,19 @@ impl ScanChain {
     }
 
     /// Converts a pattern indexed by chain position into a state vector
-    /// indexed by flop index.
+    /// indexed by flop index: `state[order[pos]] = pattern[pos]`.
     pub fn pattern_to_state(&self, pattern: &[bool]) -> Vec<bool> {
-        self.scatter(pattern)
-    }
-
-    /// Converts a state vector (by flop index) into a response indexed by
-    /// chain position.
-    pub fn state_to_pattern(&self, state: &[bool]) -> Vec<bool> {
-        self.gather(state)
-    }
-
-    /// Packed variant of [`ScanChain::pattern_to_state`]: each lane word
-    /// holds `W::LANES` lanes of one chain position.
-    pub fn pattern_to_state_packed<W: Copy + Default>(&self, pattern: &[W]) -> Vec<W> {
-        self.scatter(pattern)
-    }
-
-    /// Packed variant of [`ScanChain::state_to_pattern`].
-    pub fn state_to_pattern_packed<W: Copy>(&self, state: &[W]) -> Vec<W> {
-        self.gather(state)
-    }
-
-    /// `out[order[pos]] = input[pos]` — the permutation is lane-agnostic,
-    /// so one implementation serves `bool` and packed `u64` values.
-    fn scatter<T: Copy + Default>(&self, pattern: &[T]) -> Vec<T> {
         assert_eq!(pattern.len(), self.len(), "pattern length mismatch");
-        let mut state = vec![T::default(); self.len()];
+        let mut state = vec![false; self.len()];
         for (pos, &dff) in self.order.iter().enumerate() {
             state[dff] = pattern[pos];
         }
         state
     }
 
-    /// `out[pos] = input[order[pos]]`.
-    fn gather<T: Copy>(&self, state: &[T]) -> Vec<T> {
+    /// Converts a state vector (by flop index) into a response indexed by
+    /// chain position: `pattern[pos] = state[order[pos]]`.
+    pub fn state_to_pattern(&self, state: &[bool]) -> Vec<bool> {
         assert_eq!(state.len(), self.len(), "state length mismatch");
         self.order.iter().map(|&dff| state[dff]).collect()
     }
@@ -183,132 +157,6 @@ impl<'c> ScanChip<'c> {
     /// Shift-out: returns the captured values indexed by chain position.
     pub fn unload(&self) -> Vec<bool> {
         self.chain.state_to_pattern(&self.state)
-    }
-}
-
-/// What comes back from one packed scan session: `W::LANES` lanes per
-/// word.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WidePackedScanResponse<W> {
-    /// Packed values shifted out of the chain, indexed by chain position.
-    pub scan_out: Vec<W>,
-    /// Packed primary-output words observed during the (last) capture.
-    pub po: Vec<W>,
-}
-
-/// The 64-lane packed scan response (`u64` words).
-pub type PackedScanResponse = WidePackedScanResponse<u64>;
-
-/// The lane-parallel counterpart of [`ScanChip`]: one load / capture /
-/// unload session answers `W::LANES` independent scan queries at once.
-/// This is the throughput path for attack phases that sweep many patterns
-/// (signature collection, hypothesis filtering); the scalar [`ScanChip`]
-/// remains the differential-test reference.
-///
-/// # Example
-///
-/// ```
-/// use netlist::generator::s208_like;
-/// use sim::{PackedScanChip, ScanChain};
-///
-/// let c = s208_like();
-/// let chain = ScanChain::natural(c.num_dffs());
-/// let mut chip = PackedScanChip::new(&c, chain);
-/// let patterns = vec![!0u64; 8]; // all 64 lanes load all-ones
-/// let pis = vec![0u64; 10];
-/// let resp = chip.query(&patterns, &pis);
-/// assert_eq!(resp.scan_out.len(), 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WidePackedScanChip<'c, W: LaneWord = u64> {
-    evaluator: WidePackedEvaluator<'c, W>,
-    chain: ScanChain,
-    state: Vec<W>,
-}
-
-/// The 64-lane (`u64`) packed scan chip.
-pub type PackedScanChip<'c> = WidePackedScanChip<'c, u64>;
-
-/// The 256-lane ([`W256`]) packed scan chip.
-pub type PackedScanChip256<'c> = WidePackedScanChip<'c, W256>;
-
-impl<'c, W: LaneWord> WidePackedScanChip<'c, W> {
-    /// Creates a packed chip with the given chain; flops reset to zero in
-    /// every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain length differs from the circuit's flop count.
-    pub fn new(circuit: &'c Circuit, chain: ScanChain) -> Self {
-        assert_eq!(
-            chain.len(),
-            circuit.num_dffs(),
-            "chain must cover all flops"
-        );
-        WidePackedScanChip {
-            evaluator: WidePackedEvaluator::new(circuit),
-            chain,
-            state: vec![W::zeros(); circuit.num_dffs()],
-        }
-    }
-
-    /// The circuit inside the chip.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.evaluator.circuit()
-    }
-
-    /// The scan chain structure.
-    pub fn chain(&self) -> &ScanChain {
-        &self.chain
-    }
-
-    /// Shift-in of `W::LANES` patterns at once: `pattern[pos]` packs the
-    /// bit each lane loads into the cell at chain position `pos`.
-    pub fn load(&mut self, pattern: &[W]) {
-        self.state = self.chain.pattern_to_state_packed(pattern);
-    }
-
-    /// One capture cycle across all lanes; returns the packed primary
-    /// outputs observed during the capture.
-    pub fn capture(&mut self, pis: &[W]) -> Vec<W> {
-        self.evaluator.eval(pis, &self.state);
-        let po = self.evaluator.output_values();
-        self.state = self.evaluator.next_state();
-        po
-    }
-
-    /// Shift-out: packed captured values indexed by chain position.
-    pub fn unload(&self) -> Vec<W> {
-        self.chain.state_to_pattern_packed(&self.state)
-    }
-
-    /// A full session with `captures` capture cycles, `W::LANES` lanes
-    /// at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `captures == 0` or vector lengths are wrong.
-    pub fn query_captures(
-        &mut self,
-        pattern: &[W],
-        pis: &[W],
-        captures: usize,
-    ) -> WidePackedScanResponse<W> {
-        assert!(captures >= 1, "at least one capture cycle");
-        self.load(pattern);
-        let mut po = Vec::new();
-        for _ in 0..captures {
-            po = self.capture(pis);
-        }
-        WidePackedScanResponse {
-            scan_out: self.unload(),
-            po,
-        }
-    }
-
-    /// A standard single-capture session, `W::LANES` lanes at once.
-    pub fn query(&mut self, pattern: &[W], pis: &[W]) -> WidePackedScanResponse<W> {
-        self.query_captures(pattern, pis, 1)
     }
 }
 
@@ -428,85 +276,6 @@ mod tests {
         // The single 1 landed in the flop at chain position 0.
         let resp = chip.unload();
         assert_eq!(resp, pattern);
-    }
-
-    #[test]
-    fn packed_query_matches_scalar_chip_lane_by_lane() {
-        use crate::packed::{pack_lanes, unpack_lane};
-        use gf2::{Rng64, SplitMix64};
-
-        let c = GeneratorConfig::new("pk", 6, 4, 10, 80)
-            .with_seed(3)
-            .generate();
-        let mut rng = SplitMix64::new(21);
-        let chain = ScanChain::shuffled(10, &mut rng);
-
-        let patterns: Vec<Vec<bool>> = (0..64)
-            .map(|_| (0..10).map(|_| rng.next_u64() & 1 == 1).collect())
-            .collect();
-        let pis: Vec<Vec<bool>> = (0..64)
-            .map(|_| (0..6).map(|_| rng.next_u64() & 1 == 1).collect())
-            .collect();
-        let packed_pattern = pack_lanes(&patterns);
-        let packed_pis = pack_lanes(&pis);
-
-        let mut packed = PackedScanChip::new(&c, chain.clone());
-        let resp = packed.query_captures(&packed_pattern, &packed_pis, 2);
-
-        let mut scalar = ScanChip::new(&c, chain);
-        for lane in 0..64 {
-            let sresp = scalar.query_captures(&patterns[lane], &pis[lane], 2);
-            assert_eq!(
-                unpack_lane(&resp.scan_out, lane),
-                sresp.scan_out,
-                "scan_out lane {lane}"
-            );
-            assert_eq!(unpack_lane(&resp.po, lane), sresp.po, "po lane {lane}");
-        }
-    }
-
-    #[test]
-    fn packed_256_query_matches_scalar_chip_lane_by_lane() {
-        use crate::packed::{pack_lanes_wide, unpack_lane_wide};
-        use gf2::{Rng64, SplitMix64};
-
-        let c = GeneratorConfig::new("pk256", 5, 3, 8, 60)
-            .with_seed(9)
-            .generate();
-        let mut rng = SplitMix64::new(31);
-        let chain = ScanChain::shuffled(8, &mut rng);
-
-        let patterns: Vec<Vec<bool>> = (0..256)
-            .map(|_| (0..8).map(|_| rng.next_u64() & 1 == 1).collect())
-            .collect();
-        let pis: Vec<Vec<bool>> = (0..256)
-            .map(|_| (0..5).map(|_| rng.next_u64() & 1 == 1).collect())
-            .collect();
-        let packed_pattern: Vec<W256> = pack_lanes_wide(&patterns);
-        let packed_pis: Vec<W256> = pack_lanes_wide(&pis);
-
-        let mut packed = PackedScanChip256::new(&c, chain.clone());
-        let resp = packed.query_captures(&packed_pattern, &packed_pis, 2);
-
-        let mut scalar = ScanChip::new(&c, chain);
-        for lane in (0..256).step_by(17) {
-            let sresp = scalar.query_captures(&patterns[lane], &pis[lane], 2);
-            assert_eq!(
-                unpack_lane_wide(&resp.scan_out, lane),
-                sresp.scan_out,
-                "scan_out lane {lane}"
-            );
-            assert_eq!(unpack_lane_wide(&resp.po, lane), sresp.po, "po lane {lane}");
-        }
-    }
-
-    #[test]
-    fn packed_chain_permutes_match_scalar() {
-        let chain = ScanChain::from_order(vec![2, 0, 1]);
-        let words = vec![0xAAu64, 0xBB, 0xCC];
-        let state = chain.pattern_to_state_packed(&words);
-        assert_eq!(state, vec![0xBB, 0xCC, 0xAA]);
-        assert_eq!(chain.state_to_pattern_packed(&state), words);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Clocked functional simulation — scalar and 64-lane word-parallel.
+//! Clocked functional simulation.
 
 use netlist::Circuit;
 
-use crate::{Evaluator, PackedEvaluator};
+use crate::Evaluator;
 
 /// A sequential (functional-mode) simulator: holds the flop state and
 /// advances it one clock per [`SeqSim::step`].
@@ -74,82 +74,6 @@ impl<'c> SeqSim<'c> {
     /// Primary-output values for `pis` at the current state, without
     /// clocking.
     pub fn peek_outputs(&mut self, pis: &[bool]) -> Vec<bool> {
-        self.evaluator.eval(pis, &self.state);
-        self.evaluator.output_values()
-    }
-}
-
-/// A 64-lane sequential simulator: 64 independent machines advance one
-/// clock per [`PackedSeqSim::step`], each lane seeing its own primary
-/// inputs and flop state (bit `l` of every word belongs to lane `l`).
-///
-/// # Example
-///
-/// ```
-/// use netlist::generator::shift_register;
-/// use sim::PackedSeqSim;
-///
-/// let c = shift_register(3);
-/// let mut s = PackedSeqSim::new(&c);
-/// // lane 0 shifts in a 1, lane 1 shifts in a 0
-/// s.step(&[0b01]);
-/// s.step(&[0b00]);
-/// s.step(&[0b00]);
-/// // the 1 reached the deepest flop in lane 0 only
-/// assert_eq!(s.state()[2], 0b01);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PackedSeqSim<'c> {
-    evaluator: PackedEvaluator<'c>,
-    state: Vec<u64>,
-}
-
-impl<'c> PackedSeqSim<'c> {
-    /// Creates a simulator with the all-zero reset state in every lane.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        PackedSeqSim {
-            evaluator: PackedEvaluator::new(circuit),
-            state: vec![0; circuit.num_dffs()],
-        }
-    }
-
-    /// The circuit under simulation.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.evaluator.circuit()
-    }
-
-    /// Current packed flop state, indexed like `circuit.dffs()`.
-    pub fn state(&self) -> &[u64] {
-        &self.state
-    }
-
-    /// Overwrites the packed flop state (e.g. after a scan load).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the flop count.
-    pub fn set_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.state.len(), "state length mismatch");
-        self.state.copy_from_slice(state);
-    }
-
-    /// Resets all flops to zero in every lane.
-    pub fn reset(&mut self) {
-        self.state.fill(0);
-    }
-
-    /// Applies one clock to all 64 lanes; returns the packed
-    /// primary-output words observed before the edge (Mealy view).
-    pub fn step(&mut self, pis: &[u64]) -> Vec<u64> {
-        self.evaluator.eval(pis, &self.state);
-        let po = self.evaluator.output_values();
-        self.state = self.evaluator.next_state();
-        po
-    }
-
-    /// Packed primary-output words for `pis` at the current state, without
-    /// clocking.
-    pub fn peek_outputs(&mut self, pis: &[u64]) -> Vec<u64> {
         self.evaluator.eval(pis, &self.state);
         self.evaluator.output_values()
     }
@@ -227,42 +151,5 @@ mod tests {
         s.step(&[true]);
         s.reset();
         assert!(s.state().iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn packed_step_matches_scalar_in_every_lane() {
-        use crate::packed::unpack_lane;
-        use gf2::{Rng64, SplitMix64};
-
-        let c = counter(4);
-        let mut rng = SplitMix64::new(5);
-        let stimuli: Vec<u64> = (0..12).map(|_| rng.next_u64()).collect();
-
-        let mut packed = PackedSeqSim::new(&c);
-        let mut scalars: Vec<SeqSim> = (0..64).map(|_| SeqSim::new(&c)).collect();
-        for &enable_word in &stimuli {
-            let po = packed.step(&[enable_word]);
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                let spo = scalar.step(&[(enable_word >> lane) & 1 == 1]);
-                assert_eq!(unpack_lane(&po, lane), spo, "PO lane {lane}");
-                assert_eq!(
-                    unpack_lane(packed.state(), lane),
-                    scalar.state(),
-                    "state lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_peek_does_not_clock() {
-        let c = counter(3);
-        let mut s = PackedSeqSim::new(&c);
-        s.step(&[!0u64]);
-        let before = s.state().to_vec();
-        s.peek_outputs(&[!0u64]);
-        assert_eq!(s.state(), &before[..]);
-        s.reset();
-        assert!(s.state().iter().all(|&w| w == 0));
     }
 }

@@ -1,10 +1,11 @@
 //! End-to-end tests of the `satsolver` crate against the rest of the
 //! stack: canonical UNSAT/SAT instance families, model verification
-//! through the DIMACS layer, and a Tseitin encoding of a real netlist
-//! cross-checked against `sim::Evaluator`.
+//! through the DIMACS layer, and a Tseitin encoding of real and generated
+//! netlists cross-checked against `sim::Evaluator`.
 
 use bench::{pigeonhole, planted_3sat};
-use dynunlock_repro::netlist::generator::s208_like;
+use dynunlock_repro::netlist::generator::{s208_like, GeneratorConfig};
+use dynunlock_repro::netlist::profiles::PAPER_BENCHMARKS;
 use dynunlock_repro::netlist::{Circuit, CircuitBuilder, GateKind};
 use dynunlock_repro::satsolver::dimacs::Cnf;
 use dynunlock_repro::satsolver::{Lit, SolveResult, Solver, Var};
@@ -231,35 +232,64 @@ fn circuit_cnf_forcing_wrong_output_is_unsat() {
     }
 }
 
+/// Random generator profiles spanning interface shapes: (pis, pos, dffs,
+/// gates, seed).
+const RANDOM_PROFILES: [(usize, usize, usize, usize, u64); 5] = [
+    (4, 3, 5, 40, 11),
+    (12, 9, 20, 300, 22),
+    (30, 18, 64, 900, 33),
+    (7, 7, 130, 500, 44),
+    (20, 40, 33, 1200, 55),
+];
+
 #[test]
 fn sequential_circuit_cnf_matches_evaluator_on_samples() {
-    let circuit = s208_like();
-    let mut solver = Solver::new();
-    let vars = tseitin(&circuit, &mut solver);
-    let mut ev = Evaluator::new(&circuit);
-    let mut rng = SplitMix64::new(0x5EED);
+    // The test-local Tseitin encoding and the scalar evaluator are
+    // independent; they must agree on every primary output and next-state
+    // bit, on a hand-shaped circuit, on random generator profiles and on
+    // one shrunken paper benchmark.
+    let mut circuits = vec![s208_like()];
+    for &(pis, pos, dffs, gates, seed) in &RANDOM_PROFILES {
+        let cfg = GeneratorConfig::new(format!("diff{seed}"), pis, pos, dffs, gates);
+        circuits.push(cfg.with_seed(seed).generate());
+    }
+    circuits.push(PAPER_BENCHMARKS[0].scaled(0.25).build(0));
 
-    for _ in 0..32 {
-        let pis: Vec<bool> = (0..circuit.inputs().len())
-            .map(|_| rng.next_u64() & 1 == 1)
-            .collect();
-        let state: Vec<bool> = (0..circuit.num_dffs())
-            .map(|_| rng.next_u64() & 1 == 1)
-            .collect();
-        ev.eval(&pis, &state);
-        let assumptions = pin_inputs(&circuit, &vars, &pis, &state);
-        assert_eq!(solver.solve_assuming(&assumptions), SolveResult::Sat);
-        for (net, expected) in circuit.outputs().iter().zip(ev.output_values()) {
-            assert_eq!(
-                solver.value(vars[net.index()]),
-                Some(expected),
-                "primary output {} disagrees",
-                circuit.net_name(*net)
-            );
-        }
-        // Next-state (D inputs) must agree too.
-        for (dff, expected) in circuit.dffs().iter().zip(ev.next_state()) {
-            assert_eq!(solver.value(vars[dff.d.index()]), Some(expected));
+    for circuit in &circuits {
+        let mut solver = Solver::new();
+        let vars = tseitin(circuit, &mut solver);
+        let mut ev = Evaluator::new(circuit);
+        let mut rng = SplitMix64::new(0x5EED);
+
+        for _ in 0..32 {
+            let pis: Vec<bool> = (0..circuit.inputs().len())
+                .map(|_| rng.next_u64() & 1 == 1)
+                .collect();
+            let state: Vec<bool> = (0..circuit.num_dffs())
+                .map(|_| rng.next_u64() & 1 == 1)
+                .collect();
+            ev.eval(&pis, &state);
+            let assumptions = pin_inputs(circuit, &vars, &pis, &state);
+            assert_eq!(solver.solve_assuming(&assumptions), SolveResult::Sat);
+            for (net, expected) in circuit.outputs().iter().zip(ev.output_values()) {
+                assert_eq!(
+                    solver.value(vars[net.index()]),
+                    Some(expected),
+                    "{}: primary output {} disagrees",
+                    circuit.name(),
+                    circuit.net_name(*net)
+                );
+            }
+            // Next-state (D inputs) must agree too.
+            for (dff, expected) in circuit.dffs().iter().zip(ev.next_state()) {
+                assert_eq!(
+                    solver.value(vars[dff.d.index()]),
+                    Some(expected),
+                    "{}: next state of {} disagrees",
+                    circuit.name(),
+                    circuit.net_name(dff.q)
+                );
+            }
         }
     }
 }
