@@ -205,7 +205,9 @@ pub enum DegradeReason {
         /// Probes checked before the mismatch.
         probes_passed: usize,
     },
-    /// Certification was requested and failed (solver soundness bug).
+    /// Certification was requested and failed: a solver soundness bug,
+    /// or an unchecked clause (a resumed checkpoint's learnt) closed the
+    /// loop.
     Certification {
         /// Why the certificate could not be produced or checked.
         reason: String,
@@ -670,33 +672,37 @@ impl<'a> AttackState<'a> {
         }
     }
 
+    /// Certifies the convergence claim, which is exactly "the miter under
+    /// the activation literal is UNSAT". Takes the verbatim input mirror
+    /// (the miter and the DIP constraints, never injected checkpoint
+    /// learnts), pins the activation unit, and makes a fresh proof-logging
+    /// solver re-derive and *prove* that answer; the independent checker
+    /// then verifies the certificate.
+    fn certify(&mut self) -> Result<(), DegradeReason> {
+        let t0 = Instant::now();
+        let mut closed = self
+            .enc
+            .solver()
+            .input_mirror()
+            .expect("mirror enabled at attack start")
+            .clone();
+        closed.add_clause(vec![self.act]);
+        let cert =
+            proofcheck::certify_unsat(&closed).map_err(|e| DegradeReason::Certification {
+                reason: e.to_string(),
+            })?;
+        self.certificate = Some(cert);
+        self.certify_time = t0.elapsed();
+        Ok(())
+    }
+
     /// Transition out of the DIP loop: certify (optionally), materialize
     /// a model seed, and run the linear phase.
     fn converge(&mut self) -> Result<(), DegradeReason> {
-        // Certification: the convergence claim is exactly "the miter
-        // under the activation literal is UNSAT". Take the verbatim input
-        // mirror, pin the activation unit, and make a fresh proof-logging
-        // solver re-derive and *prove* that answer; the independent
-        // checker then verifies the certificate. A failure here is a
-        // solver soundness bug, not an attack failure.
+        // A certification failure is a solver soundness bug or an
+        // unchecked clause that closed the loop, not an attack failure.
         if self.cfg.base.certify {
-            let t0 = Instant::now();
-            let mut closed = self
-                .enc
-                .solver()
-                .input_mirror()
-                .expect("mirror enabled at attack start")
-                .clone();
-            closed.add_clause(vec![self.act]);
-            match proofcheck::certify_unsat(&closed) {
-                Ok(cert) => self.certificate = Some(cert),
-                Err(e) => {
-                    return Err(DegradeReason::Certification {
-                        reason: e.to_string(),
-                    })
-                }
-            }
-            self.certify_time = t0.elapsed();
+            self.certify()?;
         }
 
         // No distinguishing input remains: every seed consistent with the
@@ -946,8 +952,9 @@ pub enum CheckpointError {
     },
     /// The oracle kept faulting while re-validating the checkpoint.
     OracleUnavailable,
-    /// A recorded DIP or learnt clause contradicted the rebuilt model —
-    /// the checkpoint is corrupt or was tampered with.
+    /// A recorded field contradicted the rebuilt model or instance, or a
+    /// recorded convergence did not certify — the checkpoint is corrupt
+    /// or was tampered with.
     Inconsistent,
 }
 
@@ -1343,7 +1350,10 @@ impl<'a> AttackState<'a> {
     /// learnt clauses are injected (sound: CDCL learnts are implied by
     /// the formula alone, never by assumptions). A converged checkpoint
     /// additionally restores the linear-phase result after cross-checking
-    /// the recorded recovery rows against the rebuilt mask forms.
+    /// the recorded recovery rows against the rebuilt mask forms and the
+    /// recorded seed against the rows; under [`AttackConfig::certify`] it
+    /// re-certifies the rebuilt miter, so the unlock carries a
+    /// certificate.
     ///
     /// # Errors
     ///
@@ -1352,8 +1362,8 @@ impl<'a> AttackState<'a> {
     /// the live oracle contradicts a recorded DIP,
     /// [`CheckpointError::OracleUnavailable`] when re-validation queries
     /// keep faulting, [`CheckpointError::Inconsistent`] when the recorded
-    /// sizes do not fit the instance or the recorded data contradicts the
-    /// rebuilt model.
+    /// sizes do not fit the instance, the recorded data contradicts the
+    /// rebuilt model, or a recorded convergence does not certify.
     pub fn resume<O: FallibleScanAccess>(
         circuit: &'a Circuit,
         chain: &'a ScanChain,
@@ -1374,6 +1384,7 @@ impl<'a> AttackState<'a> {
         let (cells, pis, pos) = (chain.len(), circuit.inputs().len(), circuit.outputs().len());
         if ckpt.cells != cells
             || ckpt.width != spec.width()
+            || ckpt.captures != cfg.base.captures
             || ckpt.dips.iter().any(|d| {
                 d.pattern.len() != cells
                     || d.pis.len() != pis
@@ -1410,12 +1421,13 @@ impl<'a> AttackState<'a> {
 
         // Warm-start: inject the exported learnt clauses. Sound because
         // CDCL learnts are implied by the formula alone; a clause the
-        // rebuilt model refutes marks a corrupt checkpoint.
+        // rebuilt model refutes marks a corrupt checkpoint. They stay out
+        // of the input mirror, so a certificate never rests on them.
         for clause in &ckpt.learnts {
             if clause.iter().any(|l| l.var().index() >= ckpt.num_vars) {
                 return Err(CheckpointError::Inconsistent);
             }
-            if !state.enc.solver_mut().add_clause(clause) {
+            if !state.enc.solver_mut().add_implied_clause(clause) {
                 return Err(CheckpointError::Inconsistent);
             }
         }
@@ -1445,7 +1457,10 @@ impl<'a> AttackState<'a> {
                     return Err(CheckpointError::Inconsistent);
                 }
             }
-            if rec.rank() != *rank {
+            if rec.rank() != *rank || rows.iter().any(|(row, value)| row.dot(seed) != *value) {
+                return Err(CheckpointError::Inconsistent);
+            }
+            if state.cfg.base.certify && state.certify().is_err() {
                 return Err(CheckpointError::Inconsistent);
             }
             state.phase = Phase::Converged(Converged {
@@ -1679,6 +1694,100 @@ mod tests {
             panic!("converged checkpoint must verify");
         };
         assert_eq!(unlock.seed, seed_before);
+    }
+
+    fn certified() -> RobustConfig {
+        RobustConfig {
+            base: AttackConfig {
+                certify: true,
+                ..AttackConfig::default()
+            },
+            ..RobustConfig::default()
+        }
+    }
+
+    /// Steps a fresh machine to convergence and returns its checkpoint.
+    fn converged_checkpoint(f: &Fixture, cfg: &RobustConfig) -> Checkpoint {
+        let mut state = AttackState::new(&f.circuit, &f.chain, &f.spec, cfg.clone());
+        while !matches!(state.step(&mut Reliable(f.oracle())), Step::Converged) {}
+        state.checkpoint()
+    }
+
+    #[test]
+    fn bogus_checkpoint_learnt_cannot_be_certified() {
+        let f = fixture(12, 6, 0x1A);
+        let cfg = certified();
+        let mut oracle = Reliable(f.oracle());
+        let mut state = AttackState::new(&f.circuit, &f.chain, &f.spec, cfg.clone());
+        assert!(matches!(state.step(&mut oracle), Step::Dip));
+        // A "learnt" unit that switches the miter off: the live solver
+        // then sees no distinguishing input, but the miter itself is
+        // still satisfiable after one DIP.
+        let mut ckpt = state.checkpoint();
+        ckpt.learnts.push(vec![!state.act]);
+        let mut resumed =
+            AttackState::resume(&f.circuit, &f.chain, &f.spec, cfg, &ckpt, &mut oracle).unwrap();
+        let step = resumed.step(&mut oracle);
+        assert!(
+            matches!(step, Step::Degraded(DegradeReason::Certification { .. })),
+            "an unchecked learnt must not certify convergence, got {step:?}"
+        );
+    }
+
+    #[test]
+    fn converged_checkpoint_with_tampered_seed_is_rejected() {
+        let f = fixture(12, 6, 0x1A);
+        let cfg = RobustConfig::default();
+        let mut ckpt = converged_checkpoint(&f, &cfg);
+        let CkptPhase::Converged { seed, rows, .. } = &mut ckpt.phase else {
+            unreachable!("converged machine checkpoints as converged");
+        };
+        let bit = rows
+            .iter()
+            .find_map(|(row, _)| row.first_one())
+            .expect("some mask row reads the seed");
+        seed.flip(bit);
+        let res = AttackState::resume(
+            &f.circuit,
+            &f.chain,
+            &f.spec,
+            cfg,
+            &ckpt,
+            &mut Reliable(f.oracle()),
+        );
+        assert!(matches!(res, Err(CheckpointError::Inconsistent)));
+    }
+
+    #[test]
+    fn checkpoint_rejects_mismatched_captures_field() {
+        let f = fixture(12, 6, 0x1A);
+        let cfg = RobustConfig::default();
+        let mut ckpt = converged_checkpoint(&f, &cfg);
+        ckpt.captures += 1;
+        let res = AttackState::resume(
+            &f.circuit,
+            &f.chain,
+            &f.spec,
+            cfg,
+            &ckpt,
+            &mut Reliable(f.oracle()),
+        );
+        assert!(matches!(res, Err(CheckpointError::Inconsistent)));
+    }
+
+    #[test]
+    fn certified_resume_of_converged_checkpoint_carries_certificate() {
+        let f = fixture(12, 6, 0x1A);
+        let cfg = certified();
+        let ckpt = converged_checkpoint(&f, &cfg);
+        let mut oracle = Reliable(f.oracle());
+        let resumed =
+            AttackState::resume(&f.circuit, &f.chain, &f.spec, cfg, &ckpt, &mut oracle).unwrap();
+        let RobustOutcome::Unlocked { unlock, .. } = resumed.finish(&mut oracle) else {
+            panic!("converged checkpoint must verify");
+        };
+        let cert = unlock.certificate.expect("certify promises a certificate");
+        assert!(cert.stats.steps() > 0);
     }
 
     #[test]

@@ -448,6 +448,23 @@ impl Solver {
         }
     }
 
+    /// Adds a clause the caller claims is implied by the formula, such as
+    /// one exported by [`Solver::learnt_clauses`] from an earlier solver
+    /// over the same formula. It behaves like [`Solver::add_clause`] but
+    /// is kept out of the input mirror, so a certificate replayed from
+    /// the mirror never rests on the claim: a clause that is not in fact
+    /// implied can steer this solver wrong, but cannot be certified.
+    ///
+    /// # Panics
+    ///
+    /// As [`Solver::add_clause`].
+    pub fn add_implied_clause(&mut self, lits: &[Lit]) -> bool {
+        let mirror = self.input_mirror.take();
+        let ok = self.add_clause(lits);
+        self.input_mirror = mirror;
+        ok
+    }
+
     /// Adds a native parity constraint: the XOR of `lits` must equal
     /// `rhs`.
     ///
@@ -1434,6 +1451,12 @@ mod tests {
         assert_eq!(m.xors[0].lits, vec![lit(2), lit(-3)]);
         // Solving derives facts but never touches the mirror.
         assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.input_mirror().unwrap().clauses.len(), 2);
+        // An implied clause constrains the solver but stays out of the
+        // mirror.
+        assert!(s.add_implied_clause(&[lit(-2)]));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.lit_model_value(lit(-2)), Some(true));
         assert_eq!(s.input_mirror().unwrap().clauses.len(), 2);
     }
 

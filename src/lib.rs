@@ -10,12 +10,10 @@
 //! * [`scanlock`] — the EFF-Dyn defense and the locked scan-chip oracle
 //! * [`cnf`] — Tseitin encoding of circuits onto the SAT solver
 //! * [`dynunlock`] — the attack: DIP loop plus GF(2) seed recovery
-//! * [`duharness`] — the paper-table reproduction harness
 //! * [`proofcheck`] — standalone DRAT+xor proof checker for certified
 //!   solving
 
 pub use cnf;
-pub use duharness;
 pub use dynunlock;
 pub use gf2;
 pub use lfsr;

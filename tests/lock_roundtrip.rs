@@ -4,12 +4,16 @@
 //! proptest dependency): for random generator profiles, chain orders, lock
 //! specs, and secret seeds, DynUnlock's recovered seed reproduces the
 //! locked chip's responses bit-for-bit on fresh random sessions, and a
-//! healthy fraction of instances recover the secret exactly.
+//! healthy fraction of instances recover the secret exactly. The paper's
+//! benchmark profiles (`netlist::profiles`) get the same round trip, and
+//! attacking one instance twice must repeat the run exactly.
 
 use dynunlock_repro::dynunlock::{unlock, AttackConfig};
-use dynunlock_repro::gf2::{Rng64, Xoshiro256};
+use dynunlock_repro::gf2::{BitVec, Rng64, Xoshiro256};
 use dynunlock_repro::lfsr::TapSet;
 use dynunlock_repro::netlist::generator::GeneratorConfig;
+use dynunlock_repro::netlist::profiles::by_name;
+use dynunlock_repro::netlist::Circuit;
 use dynunlock_repro::scanlock::{LockSpec, LockedScanChip};
 use dynunlock_repro::sim::{ScanAccess, ScanChain};
 
@@ -37,28 +41,65 @@ fn roundtrip(trial: u64) -> (usize, bool) {
     let spec = LockSpec::random(taps, flops, 2 + rng.gen_index(flops - 1), &mut rng);
     let secret = spec.random_seed(&mut rng);
     let captures = 1 + rng.gen_index(2);
+    attack_and_check(&circuit, &chain, &spec, &secret, captures, trial, &mut rng)
+}
 
-    let mut oracle = LockedScanChip::new(&circuit, chain.clone(), spec.clone(), secret.clone());
+/// A scaled paper profile (`netlist::profiles`) behind a shuffled chain,
+/// with a key LFSR whose period outlasts one session (2n + 1 edges).
+fn profile_roundtrip(name: &str) -> (usize, bool) {
+    let circuit = by_name(name).expect("paper profile").scaled(0.01).build(1);
+    let n = circuit.num_dffs();
+    let mut rng = Xoshiro256::new(0x9E37_79B9_7F4A_7C15 ^ n as u64);
+    let chain = ScanChain::shuffled(n, &mut rng);
+    let taps = TapSet::for_width(8, (2 * n + 1) as u64, &mut rng).expect("tap set");
+    let spec = LockSpec::random(taps, n, (n * 3 / 4).clamp(2, n), &mut rng);
+    let secret = spec.random_seed(&mut rng);
+    attack_and_check(&circuit, &chain, &spec, &secret, 1, 1, &mut rng)
+}
+
+/// Attacks the locked chip twice (the runs must agree exactly: seed, DIP
+/// count and solver work), then checks the recovered seed against the
+/// oracle on fresh sessions drawn from `rng`. Returns (nullity,
+/// exact-recovery).
+fn attack_and_check(
+    circuit: &Circuit,
+    chain: &ScanChain,
+    spec: &LockSpec,
+    secret: &BitVec,
+    captures: usize,
+    trial: u64,
+    rng: &mut Xoshiro256,
+) -> (usize, bool) {
     let cfg = AttackConfig {
         captures,
         rng_seed: trial,
         ..AttackConfig::default()
     };
-    let result =
-        unlock(&circuit, &chain, &spec, &mut oracle, &cfg).expect("attack converges on the trial");
+    let attack = || {
+        let mut oracle = LockedScanChip::new(circuit, chain.clone(), spec.clone(), secret.clone());
+        unlock(circuit, chain, spec, &mut oracle, &cfg).expect("attack converges on the trial")
+    };
+    let result = attack();
     assert!(result.verified);
+    let again = attack();
+    assert_eq!(result.seed, again.seed, "trial {trial}: seed differs");
+    assert_eq!(result.dip_iterations, again.dip_iterations, "trial {trial}");
+    assert_eq!(result.solver_stats, again.solver_stats, "trial {trial}");
 
     // Bit-for-bit equivalence on fresh sessions the attack never used.
     // The guarantee is per session shape: the unload mask depends on the
     // capture count, so a rank-deficient (equivalence-class) seed is only
     // pinned for the shape the attack encoded. Exact recoveries must
     // reproduce *every* shape (DESIGN.md §6).
-    let exact = result.seed == secret;
+    let exact = result.seed == *secret;
+    let mut oracle = LockedScanChip::new(circuit, chain.clone(), spec.clone(), secret.clone());
     let mut relocked =
-        LockedScanChip::new(&circuit, chain.clone(), spec.clone(), result.seed.clone());
+        LockedScanChip::new(circuit, chain.clone(), spec.clone(), result.seed.clone());
     for _ in 0..12 {
-        let pattern: Vec<bool> = (0..flops).map(|_| rng.gen_bool()).collect();
-        let pis: Vec<bool> = (0..pi).map(|_| rng.gen_bool()).collect();
+        let pattern: Vec<bool> = (0..chain.len()).map(|_| rng.gen_bool()).collect();
+        let pis: Vec<bool> = (0..circuit.inputs().len())
+            .map(|_| rng.gen_bool())
+            .collect();
         let c = if exact {
             1 + rng.gen_index(3)
         } else {
@@ -112,5 +153,12 @@ fn multi_capture_roundtrips() {
         };
         let result = unlock(&circuit, &chain, &spec, &mut oracle, &cfg).expect("converges");
         assert!(result.verified, "trial {trial}");
+    }
+}
+
+#[test]
+fn paper_profiles_unlock_and_repeat_exactly() {
+    for name in ["s5378", "b20"] {
+        profile_roundtrip(name);
     }
 }

@@ -3,14 +3,13 @@
 //! through the DIMACS layer, and a Tseitin encoding of real and generated
 //! netlists cross-checked against `sim::Evaluator`.
 
-use bench::{pigeonhole, planted_3sat};
 use dynunlock_repro::netlist::generator::{s208_like, GeneratorConfig};
 use dynunlock_repro::netlist::profiles::PAPER_BENCHMARKS;
 use dynunlock_repro::netlist::{Circuit, CircuitBuilder, GateKind};
 use dynunlock_repro::satsolver::dimacs::Cnf;
 use dynunlock_repro::satsolver::{Lit, SolveResult, Solver, Var};
 use dynunlock_repro::sim::Evaluator;
-use gf2::{Rng64, SplitMix64};
+use gf2::{Rng64, SplitMix64, Xoshiro256};
 
 /// Extracts the model as a plain bool vector (all variables are defaulted
 /// on a `Sat` answer).
@@ -18,6 +17,72 @@ fn model_of(s: &Solver, vars: &[Var]) -> Vec<bool> {
     vars.iter()
         .map(|&v| s.value(v).expect("model is total after Sat"))
         .collect()
+}
+
+/// A random 3-SAT instance with a *planted* satisfying assignment: every
+/// clause is forced to agree with a hidden random model in at least one
+/// literal, so the instance is SAT by construction.
+fn planted_3sat(num_vars: usize, num_clauses: usize, seed: u64) -> Cnf {
+    assert!(num_vars >= 3);
+    let mut rng = Xoshiro256::new(seed);
+    let model: Vec<bool> = (0..num_vars).map(|_| rng.next_u64() & 1 == 1).collect();
+    let mut cnf = Cnf::new(num_vars);
+    while cnf.clauses.len() < num_clauses {
+        let mut vars = [0usize; 3];
+        vars[0] = rng.next_u64() as usize % num_vars;
+        while {
+            vars[1] = rng.next_u64() as usize % num_vars;
+            vars[1] == vars[0]
+        } {}
+        while {
+            vars[2] = rng.next_u64() as usize % num_vars;
+            vars[2] == vars[0] || vars[2] == vars[1]
+        } {}
+        let mut clause: Vec<i64> = vars
+            .iter()
+            .map(|&v| {
+                let code = (v + 1) as i64;
+                if rng.next_u64() & 1 == 1 {
+                    code
+                } else {
+                    -code
+                }
+            })
+            .collect();
+        // Plant: flip one literal's sign if none agrees with the model.
+        if !clause
+            .iter()
+            .any(|&code| model[code.unsigned_abs() as usize - 1] == (code > 0))
+        {
+            let k = rng.next_u64() as usize % 3;
+            clause[k] = -clause[k];
+        }
+        let clause: Vec<Lit> = clause.into_iter().map(Lit::from_dimacs).collect();
+        cnf.add_clause(clause);
+    }
+    cnf
+}
+
+/// The pigeonhole principle instance `PHP(pigeons, holes)`: UNSAT whenever
+/// `pigeons > holes`, and a classic resolution-hard driver for clause
+/// learning.
+fn pigeonhole(pigeons: usize, holes: usize) -> Cnf {
+    let lit = |p: usize, h: usize, positive: bool| {
+        let code = (p * holes + h + 1) as i64;
+        Lit::from_dimacs(if positive { code } else { -code })
+    };
+    let mut cnf = Cnf::new(pigeons * holes);
+    for p in 0..pigeons {
+        cnf.add_clause((0..holes).map(|h| lit(p, h, true)).collect::<Vec<Lit>>());
+    }
+    for h in 0..holes {
+        for p1 in 0..pigeons {
+            for p2 in p1 + 1..pigeons {
+                cnf.add_clause(vec![lit(p1, h, false), lit(p2, h, false)]);
+            }
+        }
+    }
+    cnf
 }
 
 #[test]

@@ -8,10 +8,10 @@
 //! Rank-deficient and inconsistent systems are constructed explicitly on
 //! top of the random sweep.
 
-use dynunlock_repro::{cnf, gf2, satsolver};
+use dynunlock_repro::{cnf, gf2, proofcheck, satsolver};
 
 use cnf::{Encoder, XorMode};
-use gf2::{BitVec, LinSolver, Rng64, Xoshiro256};
+use gf2::{BitMatrix, BitVec, LinSolver, Rng64, Xoshiro256};
 use satsolver::{Lit, SolveResult};
 
 /// One xor row: coefficient vector over the variables, plus its rhs.
@@ -236,6 +236,64 @@ fn assumptions_do_not_poison_either_mode() {
             }
             // The instance itself is untouched.
             assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
+        }
+    }
+}
+
+/// A full-rank bank of `w` random parity rows over `w` variables.
+fn full_rank_rows(w: usize, rng: &mut Xoshiro256) -> Vec<BitVec> {
+    loop {
+        let rows: Vec<BitVec> = (0..w)
+            .map(|_| BitVec::from_bools((0..w).map(|_| rng.gen_bool())))
+            .collect();
+        if BitMatrix::from_rows(rows.clone()).rank() == w {
+            return rows;
+        }
+    }
+}
+
+/// The attack's convergence proof in miniature: two symbolic seed copies
+/// `s` and `t`, a full-rank parity bank forcing `s = t` (each row reads
+/// both copies), and a miter clause demanding they differ somewhere.
+/// Solves it under `mode` and returns the verdict with the encoder, whose
+/// input mirror holds the formula verbatim.
+fn parity_bank_miter(mode: XorMode, rows: &[BitVec]) -> (SolveResult, Encoder) {
+    let w = rows.len();
+    let mut enc = Encoder::with_mode(mode);
+    enc.solver_mut().enable_input_mirror();
+    let s = enc.fresh_many(w);
+    let t = enc.fresh_many(w);
+    let diff: Vec<Lit> = (0..w).map(|j| enc.xor2(s[j], t[j])).collect();
+    enc.assert_clause(&diff);
+    for row in rows {
+        let lits: Vec<Lit> = row.iter_ones().flat_map(|i| [s[i], t[i]]).collect();
+        enc.assert_xor(&lits, false);
+    }
+    let res = enc.solver_mut().solve();
+    (res, enc)
+}
+
+#[test]
+fn parity_bank_miter_is_unsat_at_paper_key_widths() {
+    // Both lowerings agree where resolution is still cheap; past that
+    // only the native engine is asked (Tseitin blows up exponentially on
+    // this family, DESIGN.md §6).
+    for w in [8, 16, 64, 80] {
+        let rows = full_rank_rows(w, &mut Xoshiro256::new(w as u64));
+        let modes: &[XorMode] = if w <= 16 {
+            &[XorMode::Native, XorMode::Tseitin]
+        } else {
+            &[XorMode::Native]
+        };
+        for &mode in modes {
+            let (res, enc) = parity_bank_miter(mode, &rows);
+            assert_eq!(res, SolveResult::Unsat, "{mode:?} at w = {w}");
+            if w == 80 {
+                let formula = enc.solver().input_mirror().expect("mirror enabled");
+                let cert = proofcheck::certify_unsat(formula)
+                    .expect("the native w = 80 refutation certifies");
+                assert!(cert.stats.steps() > 0);
+            }
         }
     }
 }
